@@ -8,7 +8,9 @@ gap with the classic Dynamo-style protocol:
 
 * every replica maintains an incremental :class:`~repro.shardstore.
   merkle.MerkleMap` over its ``key -> record-digest`` map (updated on
-  each conditional apply, rebuilt after a dirty restart);
+  each conditional apply, rebuilt after a dirty restart), and next to
+  it a ``key -> version`` index that the router's conditional apply
+  reads instead of reading the record back from the replica;
 * a background round picks one pair of reachable replicas on the
   router's op clock, compares tree roots, descends only into diverging
   subtrees, and repairs stale keys through the *existing* versioned
@@ -66,6 +68,16 @@ class AntiEntropyService:
     mutation path so the trees are exact mirrors of replica content, and
     :meth:`maybe_run` from its op clock so rounds are deterministic
     functions of the workload (never wall time).
+
+    The same three points (:meth:`note_apply`, :meth:`note_remove`,
+    :meth:`rebuild`) maintain ``versions``: each replica's ``key ->
+    version`` index, which answers the conditional apply's "what does
+    this replica hold?" without a read.  The index may never claim a
+    version the replica does not hold, so a mutation that raised (it may
+    or may not have applied) marks its key *uncertain* (version
+    ``None``) via :meth:`note_uncertain`, and a failed :meth:`rebuild`
+    drops the whole replica's index; :meth:`replica_version` answers
+    ``None`` for both, and the caller falls back to reading the replica.
     """
 
     def __init__(self, router: "ClusterRouter") -> None:
@@ -76,6 +88,9 @@ class AntiEntropyService:
         self.max_buckets = cfg.anti_entropy_buckets
         self.max_repairs = cfg.anti_entropy_repairs
         self.trees: Dict[int, MerkleMap] = {}
+        # Per-replica version index (None = uncertain); a node missing
+        # here is unindexed.
+        self.versions: Dict[int, Dict[bytes, Optional[int]]] = {}
         self._cursor = 0  # round-robin position over reachable pairs
         self._bucket_cursor = 0  # rotation offset into diverging buckets
 
@@ -84,41 +99,76 @@ class AntiEntropyService:
 
     def register_node(self, node_id: int) -> None:
         self.trees[node_id] = MerkleMap()
+        self.versions[node_id] = {}
 
     def drop_node(self, node_id: int) -> None:
         self.trees.pop(node_id, None)
+        self.versions.pop(node_id, None)
 
     def note_apply(self, node_id: int, key: bytes, record: bytes) -> None:
         tree = self.trees.get(node_id)
         if tree is not None:
             tree.set(key, digest_bytes(record))
+        versions = self.versions.get(node_id)
+        if versions is not None:
+            versions[key] = _record_version(record)
 
     def note_remove(self, node_id: int, key: bytes) -> None:
         tree = self.trees.get(node_id)
         if tree is not None:
             tree.remove(key)
+        versions = self.versions.get(node_id)
+        if versions is not None:
+            versions.pop(key, None)
+
+    def note_uncertain(self, node_id: int, key: bytes) -> None:
+        """A mutation of ``key`` raised: its replica version is unknown."""
+        versions = self.versions.get(node_id)
+        if versions is not None:
+            versions[key] = None
+
+    def replica_version(self, node_id: int, key: bytes) -> Optional[int]:
+        """The version of ``key`` the replica holds (-1 when absent), or
+        ``None`` when the index cannot vouch for it."""
+        versions = self.versions.get(node_id)
+        if versions is None:
+            return None
+        return versions.get(key, -1)
 
     def rebuild(self, node_id: int) -> None:
-        """Rebuild one replica's tree from its store (post-restart).
+        """Rebuild one replica's tree and version index from its store
+        (post-restart).
 
-        A dirty restart loses un-drained writes, so the in-memory tree
-        may be ahead of the recovered store; re-deriving it from what
-        recovery actually produced is the only honest commitment.
+        A dirty restart can lose writes (un-drained ones, and drained
+        ones whose index entry was still in the LSM memtable), so the
+        in-memory tree may be ahead of the recovered store; re-deriving it from what
+        recovery actually produced is the only honest commitment.  A key
+        that cannot be read back is left uncertain; if the key listing
+        itself fails, the whole replica stays unindexed until the next
+        successful rebuild.
         """
         tree = self.trees.get(node_id)
         cn = self.router.nodes.get(node_id)
         if tree is None or cn is None:
             return
         tree.clear()
+        self.versions.pop(node_id, None)
         try:
             keys = cn.node.keys()
         except ShardStoreError:
             return
+        versions: Dict[bytes, Optional[int]] = {}
         for key in keys:
             try:
-                tree.set(key, digest_bytes(cn.node.get(key)))
-            except ShardStoreError:
+                record = cn.node.get(key)
+            except NotFoundError:
                 continue
+            except ShardStoreError:
+                versions[key] = None
+                continue
+            tree.set(key, digest_bytes(record))
+            versions[key] = _record_version(record)
+        self.versions[node_id] = versions
 
     def root(self, node_id: int) -> str:
         """The whole-tree root of one replica (journal / gauge surface)."""

@@ -98,7 +98,8 @@ class MerkleMap:
     """An incremental fixed-shape Merkle tree over a ``key -> digest`` map.
 
     ``set``/``remove`` are O(1) (they only mark the key's bucket dirty);
-    ``root()`` lazily re-hashes dirty buckets and the internal levels.
+    ``root()`` lazily re-hashes the dirty buckets and only their
+    ancestors, ``depth`` internal digests per dirty bucket at most.
     ``diff`` walks two trees top-down and returns only the diverging leaf
     buckets -- the anti-entropy descent.
 
@@ -134,7 +135,6 @@ class MerkleMap:
         self._levels: List[List[str]] = [
             [EMPTY_DIGEST] * (fanout**level) for level in range(depth)
         ]
-        self._levels_stale = False
 
     # ------------------------------------------------------------------
     # map surface
@@ -163,7 +163,6 @@ class MerkleMap:
         self._entries[key] = digest
         self._buckets[bucket][key] = digest
         self._dirty.add(bucket)
-        self._levels_stale = True
 
     def remove(self, key: bytes) -> None:
         """Drop ``key`` (a no-op when absent -- removal is idempotent)."""
@@ -173,7 +172,6 @@ class MerkleMap:
         del self._entries[key]
         self._buckets[bucket].pop(key, None)
         self._dirty.add(bucket)
-        self._levels_stale = True
 
     def clear(self) -> None:
         self._entries.clear()
@@ -184,7 +182,6 @@ class MerkleMap:
         self._levels = [
             [EMPTY_DIGEST] * (self.fanout**level) for level in range(self.depth)
         ]
-        self._levels_stale = False
 
     @classmethod
     def from_items(
@@ -203,22 +200,24 @@ class MerkleMap:
     # digests
 
     def _refresh(self) -> None:
+        """Re-hash the dirty buckets, then only their ancestors."""
+        if not self._dirty:
+            return
+        fanout = self.fanout
         for bucket in self._dirty:
             self._bucket_digests[bucket] = _leaf_digest(
                 list(self._buckets[bucket].items())
             )
-        self._dirty.clear()
-        if not self._levels_stale:
-            return
+        dirty = self._dirty
         below = self._bucket_digests
         for level in range(self.depth - 1, -1, -1):
-            digests = [
-                _node_digest(below[i : i + self.fanout])
-                for i in range(0, len(below), self.fanout)
-            ]
-            self._levels[level] = digests
+            digests = self._levels[level]
+            dirty = {index // fanout for index in dirty}
+            for node in dirty:
+                start = node * fanout
+                digests[node] = _node_digest(below[start : start + fanout])
             below = digests
-        self._levels_stale = False
+        self._dirty = set()
 
     def root(self) -> str:
         """The root digest (lazily recomputed after mutations)."""

@@ -1275,10 +1275,13 @@ class StorageNode:
     def drain(self) -> None:
         """Write back everything pending on every in-service disk.
 
-        Per-disk failures feed the circuit breaker; a failure only
-        propagates if its disk is *still* in service afterwards -- a disk
-        the breaker demoted mid-drain had its shards migrated, so the node
-        as a whole made forward progress.
+        Only disks with pending writebacks are drained: draining a clean
+        disk is a no-op, and skipping it still leaves the whole node
+        drained on return, so a journaled ``drain`` stays a node-wide
+        durability barrier.  Per-disk failures feed the circuit breaker;
+        a failure only propagates if its disk is *still* in service
+        afterwards -- a disk the breaker demoted mid-drain had its shards
+        migrated, so the node as a whole made forward progress.
         """
         if self.journal is not None:
             return self.journal.call("drain", self._drain_rpc)
@@ -1286,13 +1289,19 @@ class StorageNode:
 
     def _drain_rpc(self) -> None:
         self._tick()
-        _, errors = self._each_in_service(lambda store: store.drain())
+        _, errors = self._each_in_service(
+            lambda store: store.drain(),
+            only=lambda store: store.pending_io_count > 0,
+        )
         self._raise_if_still_failing(errors, "drain")
 
     def _each_in_service(
-        self, fn: Callable[[ShardStore], _T]
+        self,
+        fn: Callable[[ShardStore], _T],
+        only: Optional[Callable[[ShardStore], bool]] = None,
     ) -> Tuple[List[Optional[_T]], List[Tuple[int, IoError]]]:
-        """Apply ``fn`` per in-service disk, feeding breaker and admission.
+        """Apply ``fn`` per in-service disk (restricted to the stores
+        ``only`` accepts), feeding breaker and admission.
 
         Flush/drain are where queued writebacks actually hit the medium, so
         with admission enabled each disk's measured cost is charged to its
@@ -1303,6 +1312,8 @@ class StorageNode:
         errors: List[Tuple[int, IoError]] = []
         for disk_id, system in enumerate(self.systems):
             if not self._in_service[disk_id]:
+                continue
+            if only is not None and not only(system.store):
                 continue
             disk_stats = system.store.disk.stats
             busy_before = disk_stats.busy_units

@@ -1,9 +1,20 @@
 """Tests for Merkle anti-entropy: service, campaign suite, evidence plane."""
 
+import random
+
 import pytest
 
 from repro.cluster import ClusterConfig, ClusterRouter
-from repro.errors import AntiEntropyError, DegradedReadError
+from repro.cluster.router import FLAG_VALUE, decode_record, encode_record
+from repro.errors import (
+    AntiEntropyError,
+    DegradedReadError,
+    DegradedWriteError,
+    IoError,
+    KeyNotFoundError,
+    NotFoundError,
+)
+from repro.shardstore.observability.journal import digest_bytes
 
 
 def _router(**overrides) -> ClusterRouter:
@@ -125,6 +136,155 @@ class TestAntiEntropyService:
         for rec in router.replica_states(b"k").values():
             assert rec is not None and rec[2] == b"new"
         assert router.get(b"k") == b"new"
+
+
+def _held_records(cn) -> dict:
+    """What one replica actually holds: ``key -> raw record``."""
+    held = {}
+    for key in cn.node.keys():
+        try:
+            held[key] = cn.node.get(key)
+        except NotFoundError:
+            continue
+    return held
+
+
+def _assert_index_mirrors_replicas(router: ClusterRouter, where) -> None:
+    """Every member's version index and tree equal what it holds,
+    except for keys the index marks uncertain (version ``None``)."""
+    service = router.antientropy
+    for nid, cn in sorted(router.nodes.items()):
+        if cn.removed:
+            continue
+        assert nid in service.versions, (where, nid)
+        index = service.versions[nid]
+        uncertain = {key for key, version in index.items() if version is None}
+        held = {
+            key: raw
+            for key, raw in _held_records(cn).items()
+            if key not in uncertain
+        }
+        assert {
+            key: version for key, version in index.items() if version is not None
+        } == {key: decode_record(raw)[0] for key, raw in held.items()}, (
+            where,
+            nid,
+        )
+        tree = service.trees[nid]
+        assert {
+            key: tree.get(key) for key in tree.keys() if key not in uncertain
+        } == {key: digest_bytes(raw) for key, raw in held.items()}, (
+            where,
+            nid,
+        )
+
+
+class TestVersionIndex:
+    """The per-replica version index the conditional apply reads instead
+    of reading the record back from the replica."""
+
+    @pytest.mark.parametrize(
+        "seed,hint_limit,anti_entropy",
+        [(0, 0, False), (1, 2, True), (2, 0, True), (3, 8, False)],
+    )
+    def test_index_mirrors_replicas_through_storms(
+        self, seed, hint_limit, anti_entropy
+    ):
+        rng = random.Random(seed)
+        router = _router(
+            seed=seed,
+            hint_limit=hint_limit,
+            anti_entropy=anti_entropy,
+            anti_entropy_interval=4,
+        )
+        for step in range(160):
+            members = router.members
+            down = [nid for nid in members if not router.nodes[nid].up]
+            cut = [nid for nid in members if router.nodes[nid].partitioned]
+            roll = rng.random()
+            key = b"ik-%02d" % rng.randrange(16)
+            try:
+                if roll < 0.08 and len(down) + len(cut) < 2:
+                    router.crash_node(rng.choice(members))
+                elif roll < 0.14 and down:
+                    router.restart_node(rng.choice(down))
+                elif roll < 0.19 and len(down) + len(cut) < 2:
+                    router.partition_node(rng.choice(members))
+                elif roll < 0.24 and cut:
+                    router.heal_partition(rng.choice(cut))
+                elif roll < 0.26 and len(members) < 7:
+                    router.add_node()
+                elif roll < 0.28 and len(members) > 4:
+                    router.remove_node(rng.choice(members))
+                elif roll < 0.30:
+                    router.settle()
+                elif roll < 0.45:
+                    router.get(key)  # read-repair
+                elif roll < 0.55:
+                    router.delete(key)
+                else:
+                    router.put(key, b"iv-%d" % step)
+            except (DegradedReadError, DegradedWriteError, KeyNotFoundError):
+                pass
+            _assert_index_mirrors_replicas(router, step)
+        router.settle()
+        _assert_index_mirrors_replicas(router, "settled")
+        exercised = ["node_restarts", "partition_heals", "node_joins",
+                     "node_leaves", "read_repairs", "rebalance_moves"]
+        if hint_limit == 0:
+            exercised.append("hints_dropped")
+        if anti_entropy:
+            exercised.append("anti_entropy_keys_repaired")
+        for name in exercised:
+            assert router.stats[name] > 0, name
+
+    def test_put_that_applies_then_raises_cannot_lower_a_version(self):
+        router = _router()
+        key = b"nk"
+        router.put(key, b"v1")  # version 1 on every replica
+        router.put(b"pad", b"p")  # version 2 goes to another key
+        victim = router._placement(key)[0]
+        cn = router.nodes[victim]
+        real_put = cn.node.put
+
+        def apply_then_raise(*args, **kwargs):
+            real_put(*args, **kwargs)
+            raise IoError("injected: failed after applying", transient=False)
+
+        cn.node.put = apply_then_raise
+        router.put(key, b"v3")  # version 3: applied on the victim, yet raised
+        del cn.node.put
+        assert decode_record(cn.node.get(key))[0] == 3
+        assert router.antientropy.replica_version(victim, key) is None
+        # Replay an older record (a stale hint / repair source): the
+        # replica must not roll back from version 3 to version 2.
+        router._replica_apply(cn, 0, key, encode_record(2, FLAG_VALUE, b"v2"))
+        assert cn.node.get(key) == encode_record(3, FLAG_VALUE, b"v3")
+        # The fall-back read resynchronized the index with the replica.
+        assert router.antientropy.replica_version(victim, key) == 3
+
+    def test_failed_rebuild_leaves_the_replica_unindexed(self):
+        router = _router()
+        router.put(b"k", b"v1")
+        victim = router._placement(b"k")[0]
+        cn = router.nodes[victim]
+
+        def keys_fail():
+            raise IoError("injected: cannot list keys")
+
+        cn.node.keys = keys_fail
+        router.crash_node(victim)
+        router.restart_node(victim)
+        del cn.node.keys
+        assert victim not in router.antientropy.versions
+        assert router.antientropy.replica_version(victim, b"k") is None
+        # Every apply now reads back first, so the replica stays correct.
+        router._replica_apply(cn, 0, b"k", encode_record(0, FLAG_VALUE, b"v0"))
+        router.put(b"k", b"v2")
+        assert router.replica_states(b"k")[victim][2] == b"v2"
+        router.crash_node(victim)
+        router.restart_node(victim)  # a successful rebuild re-indexes
+        _assert_index_mirrors_replicas(router, "rebuilt")
 
 
 class TestDegradedReadCandidates:

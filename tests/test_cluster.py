@@ -578,6 +578,30 @@ class TestMinorityCrashProperty:
                 assert router.get(key) == value, key
 
 
+    @pytest.mark.xfail(
+        strict=True,
+        raises=KeyNotFoundError,
+        reason=(
+            "known durability gap: a durable replica ack drains the node's "
+            "writebacks, but the record's index entry stays in the LSM "
+            "memtable, so a dirty restart of both acking replicas loses an "
+            "acknowledged write once no hint carries it; closing it needs "
+            "an LSM flush per durable apply"
+        ),
+    )
+    def test_acked_write_survives_dirty_restart_of_both_ack_nodes(self):
+        router = small_router(hint_limit=0)
+        key = b"gap-key"
+        first, second, third = router._placement(key)
+        router.partition_node(third)
+        router.put(key, b"acked")  # W=2: acked by first and second
+        for node_id in (first, second):  # a 2-of-5 minority
+            router.crash_node(node_id)
+            router.restart_node(node_id)
+        router.heal_partition(third)
+        assert router.get(key) == b"acked"
+
+
 class TestClusterMetricsDemo:
     def make_demo(self, **kwargs):
         from repro.bench.serve import ClusterMetricsDemo

@@ -1,5 +1,7 @@
 """Unit tests for the Merkle commitment tree and store-level integrity proofs."""
 
+import random
+
 import pytest
 
 from repro.shardstore import (
@@ -12,6 +14,8 @@ from repro.shardstore import (
 from repro.shardstore.merkle import (
     EMPTY_DIGEST,
     MerkleMap,
+    _leaf_digest,
+    _node_digest,
     merkle_point,
     numeric_root,
 )
@@ -27,6 +31,20 @@ def _system():
             faults=FaultSet.none(),
         )
     )
+
+
+def _full_rehash_root(tree: MerkleMap) -> str:
+    """The root recomputed from every bucket, independent of ``root()``."""
+    buckets = [[] for _ in range(tree.num_buckets)]
+    for key, digest in tree.items():
+        buckets[tree.bucket_of(key)].append((key, digest))
+    level = [_leaf_digest(items) for items in buckets]
+    while len(level) > 1:
+        level = [
+            _node_digest(level[i : i + tree.fanout])
+            for i in range(0, len(level), tree.fanout)
+        ]
+    return level[0]
 
 
 def _corrupt(system, store, key):
@@ -120,6 +138,38 @@ class TestMerkleMap:
             MerkleMap(fanout=12)
         with pytest.raises(ValueError):
             MerkleMap(fanout=0)
+
+    @pytest.mark.parametrize(
+        "fanout,depth,seed",
+        [(16, 2, 0), (16, 2, 1), (4, 3, 2), (2, 5, 3), (8, 1, 4)],
+    )
+    def test_incremental_refresh_matches_from_scratch(
+        self, fanout, depth, seed
+    ):
+        """Only dirty paths are re-hashed, so after any set/remove
+        sequence (roots read in between) the root and every ``diff``
+        must equal those of a tree built from scratch, and the root must
+        equal a full re-hash of every bucket."""
+        rng = random.Random(seed)
+        shape = dict(fanout=fanout, depth=depth)
+        tree, peer = MerkleMap(**shape), MerkleMap(**shape)
+        keys = [b"k-%d" % i for i in range(48)]
+        for step in range(400):
+            target = tree if rng.random() < 0.7 else peer
+            key = rng.choice(keys)
+            if rng.random() < 0.3:
+                target.remove(key)
+            else:
+                target.set(key, digest_bytes(b"v%d" % rng.randrange(4)))
+            if rng.random() < 0.25:
+                fresh = MerkleMap.from_items(tree.items(), **shape)
+                fresh_peer = MerkleMap.from_items(peer.items(), **shape)
+                assert tree.root() == fresh.root(), step
+                assert tree.root() == _full_rehash_root(tree), step
+                assert tree.diff(peer) == fresh.diff(fresh_peer), step
+                assert peer.diff(tree) == fresh_peer.diff(fresh), step
+        tree.clear()
+        assert tree.root() == EMPTY_DIGEST
 
     def test_numeric_root_fits_prometheus_float(self):
         tree = MerkleMap.from_items([(b"k", digest_bytes(b"v"))])

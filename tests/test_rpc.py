@@ -206,3 +206,31 @@ class TestValidation:
         assert all(
             system.store.pending_io_count == 0 for system in node.systems
         )
+
+    def test_drain_skips_clean_disks_and_leaves_the_node_drained(self):
+        node = _node()
+        drained = []
+
+        def counted(disk_id, real):
+            def drain():
+                drained.append(disk_id)
+                return real()
+
+            return drain
+
+        for disk_id, system in enumerate(node.systems):
+            system.store.drain = counted(disk_id, system.store.drain)
+        node.put(b"k", b"v")
+        dirty = [
+            disk_id
+            for disk_id, system in enumerate(node.systems)
+            if system.store.pending_io_count
+        ]
+        assert len(dirty) == 1
+        node.drain()
+        assert drained == dirty
+        assert all(
+            system.store.pending_io_count == 0 for system in node.systems
+        )
+        node.drain()  # a fully clean node drains no disk at all
+        assert drained == dirty
